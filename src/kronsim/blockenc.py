@@ -1,6 +1,6 @@
-"""Block-encoding calculus over explicit dense unitaries.
+"""Block-encoding calculus, block first: eager top-left blocks, unitaries on demand.
 
-A block encoding holds a unitary on ancilla (x) system whose top-left
+A block encoding stands for a unitary on ancilla (x) system whose top-left
 system-sized block, times the scale, approximates a target operator to the
 declared err. Combinators below preserve that contract: dilation (exact
 unitary completion of a contraction), products, tensor products with explicit
@@ -8,10 +8,20 @@ register regrouping, linear combinations via prepare-select-unprepare,
 rescaling, amplification (emulated by exact re-dilation, costed by the query
 formula), density operators from purifications, and slot permutations.
 
+Each combinator computes the new block eagerly in closed form, by standard
+block-encoding algebra (Gilyen-Su-Low-Wiebe, arXiv:1806.01838; LCU per
+Childs-Wiebe, arXiv:1202.5822): A/scale for a dilation, B1 B2 for a product,
+kron(B1, B2) for a tensor product, sum_i w_i B_i for an LCU, -B for a
+negation, gamma B for amplification, the permuted block for a slot
+permutation and the partial trace for a purification. The full unitary is
+built only when `.unitary` is read (unitarity checks, tests): each combinator
+keeps a materializer that runs the explicit dense construction on its inputs'
+unitaries, once, and caches the result.
+
 Register convention: ancilla is always the left tensor factor, and ancilla
 registers concatenate left-to-right in composition order; an LCU's select
-register goes leftmost. This fixes every unitary entrywise, which is what
-makes golden tests possible.
+register goes leftmost. This fixes every materialized unitary entrywise,
+which is what makes golden tests possible.
 
 Combinators take an optional ledger for standalone accounting. Pipelines do
 their own centralized accounting instead (single-writer rule), so they pass
@@ -20,8 +30,10 @@ no ledger here.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,53 +48,133 @@ from .errors import (
     WeightsNotNormalized,
 )
 from .ledger import ResourceLedger, amplification_rounds
-from .linalg import as_cmatrix, op_norm, partial_trace, require_square, unitary_completion
+from .linalg import (
+    as_cmatrix,
+    hermitian_op_norm,
+    op_norm,
+    partial_trace,
+    require_square,
+    unitary_completion,
+)
 
 
 def next_pow2(n: int) -> int:
     return 1 << max(0, n - 1).bit_length() if n > 1 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockEncoding:
-    """(scale, ancilla, err) encoding with an explicit unitary.
+    """(scale, ancilla, err) encoding carried by its top-left block.
+
+    top_left is the system-sized block of the encoding's unitary with the
+    ancilla projected onto zero. The unitary itself is built by materialize,
+    only when `unitary` is first read; ancilla_dim is the ancilla register's
+    dimension either way.
+
+    BlockEncoding(unitary, system_dim, ancilla_dim, scale, err, ledger_tag,
+    target=...) wraps an explicit unitary and reads the block from it.
+    Combinators pass top_left= and materialize= instead of a unitary.
 
     target, when attached, is the operator the encoding claims to hold:
     ||scale * block - target||_o <= err (+ numerical slack). Combinators
     propagate targets whenever every input carries one.
     """
 
-    unitary: np.ndarray
     system_dim: int
     ancilla_dim: int
     scale: float
     err: float
-    ledger_tag: str = ""
-    target: np.ndarray | None = None
+    ledger_tag: str
+    target: np.ndarray | None
+    top_left: np.ndarray
+    materialize: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        n = self.unitary.shape[0]
-        if n != self.ancilla_dim * self.system_dim:
+    def __init__(
+        self,
+        unitary: np.ndarray | None = None,
+        system_dim: int | None = None,
+        ancilla_dim: int | None = None,
+        scale: float | None = None,
+        err: float | None = None,
+        ledger_tag: str = "",
+        target: np.ndarray | None = None,
+        *,
+        top_left: np.ndarray | None = None,
+        materialize: Callable[[], np.ndarray] | None = None,
+    ):
+        if None in (system_dim, ancilla_dim, scale, err):
+            raise TypeError("system_dim, ancilla_dim, scale and err are required")
+        if unitary is not None:
+            if top_left is not None or materialize is not None:
+                raise TypeError("pass either a unitary or top_left with materialize")
+            n = unitary.shape[0]
+            if n != ancilla_dim * system_dim:
+                raise DimensionMismatch(
+                    f"unitary dim {n} != ancilla {ancilla_dim} * system {system_dim}"
+                )
+            top_left = unitary[:system_dim, :system_dim]
+            materialize = lambda: unitary
+        elif top_left is None or materialize is None:
+            raise TypeError("pass either a unitary or top_left with materialize")
+        elif top_left.shape != (system_dim, system_dim):
             raise DimensionMismatch(
-                f"unitary dim {n} != ancilla {self.ancilla_dim} * system {self.system_dim}"
+                f"block shape {top_left.shape} != system dim {system_dim}"
             )
+        fields = {
+            "system_dim": system_dim,
+            "ancilla_dim": ancilla_dim,
+            "scale": scale,
+            "err": err,
+            "ledger_tag": ledger_tag,
+            "target": target,
+            "top_left": top_left,
+            "materialize": materialize,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The full ancilla (x) system unitary, built on first read."""
+        return self.materialize()
 
     def block(self) -> np.ndarray:
         """Top-left system-sized block (ancilla projected onto zero)."""
-        s = self.system_dim
-        return self.unitary[:s, :s]
+        return self.top_left
 
     def encoded(self) -> np.ndarray:
         return self.scale * self.block()
 
     def unitarity_defect(self) -> float:
         u = self.unitary
-        return op_norm(u.conj().T @ u - np.eye(u.shape[0]))
+        return hermitian_op_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
     def target_defect(self) -> float:
         if self.target is None:
             raise ValueError("no target attached")
         return op_norm(self.encoded() - self.target)
+
+
+def _from_block(
+    top_left: np.ndarray,
+    ancilla_dim: int,
+    scale: float,
+    err: float,
+    tag: str,
+    target: np.ndarray | None,
+    build: Callable[[], np.ndarray],
+) -> BlockEncoding:
+    """Encoding with an eager block; build() makes its unitary once, on first read."""
+    return BlockEncoding(
+        system_dim=top_left.shape[0],
+        ancilla_dim=ancilla_dim,
+        scale=float(scale),
+        err=err,
+        ledger_tag=tag,
+        target=target,
+        top_left=top_left,
+        materialize=functools.cache(build),
+    )
 
 
 def attach_target(u: BlockEncoding, target) -> BlockEncoding:
@@ -131,36 +223,27 @@ def dilate(
         tilde = tilde / norm
         err = (norm - 1.0) * scale
     n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    upper = _psd_sqrt(eye - tilde @ tilde.conj().T)
-    lower = _psd_sqrt(eye - tilde.conj().T @ tilde)
-    unitary = np.block([[tilde, upper], [lower, -tilde.conj().T]])
+
+    def build():
+        eye = np.eye(n, dtype=np.complex128)
+        upper = _psd_sqrt(eye - tilde @ tilde.conj().T)
+        lower = _psd_sqrt(eye - tilde.conj().T @ tilde)
+        return np.block([[tilde, upper], [lower, -tilde.conj().T]])
+
     if ledger is not None:
         ledger.record(tag, ancilla_dims=2)
-    return BlockEncoding(
-        unitary=unitary,
-        system_dim=n,
-        ancilla_dim=2,
-        scale=float(scale),
-        err=err,
-        ledger_tag=tag,
-        target=a,
-    )
+    return _from_block(tilde, 2, scale, err, tag, a, build)
 
 
 def zero_encoding(system_dim: int, scale: float) -> BlockEncoding:
     """Exact encoding of the zero operator (an ancilla-system swap)."""
-    eye = np.eye(system_dim, dtype=np.complex128)
     zero = np.zeros((system_dim, system_dim), dtype=np.complex128)
-    return BlockEncoding(
-        unitary=np.block([[zero, eye], [eye, zero]]),
-        system_dim=system_dim,
-        ancilla_dim=2,
-        scale=float(scale),
-        err=0.0,
-        ledger_tag="zero",
-        target=zero,
-    )
+
+    def build():
+        eye = np.eye(system_dim, dtype=np.complex128)
+        return np.block([[zero, eye], [eye, zero]])
+
+    return _from_block(zero, 2, scale, 0.0, "zero", zero, build)
 
 
 def pad_ancilla(u: BlockEncoding, target_dim: int) -> BlockEncoding:
@@ -172,17 +255,26 @@ def pad_ancilla(u: BlockEncoding, target_dim: int) -> BlockEncoding:
         raise DimensionMismatch(
             f"cannot pad ancilla {u.ancilla_dim} to {target_dim}"
         )
-    unitary = np.kron(np.eye(q, dtype=np.complex128), u.unitary)
-    return replace(u, unitary=unitary, ancilla_dim=target_dim)
+
+    def build():
+        return np.kron(np.eye(q, dtype=np.complex128), u.unitary)
+
+    return replace(u, ancilla_dim=target_dim, materialize=functools.cache(build))
 
 
 def be_negate(u: BlockEncoding) -> BlockEncoding:
     """Flip the encoded block's sign by reflecting about the ancilla zero state."""
-    # Rows with ancilla index 0 are exactly the first system_dim rows.
-    reflected = u.unitary.copy()
-    reflected[: u.system_dim, :] *= -1.0
+
+    def build():
+        # Rows with ancilla index 0 are exactly the first system_dim rows.
+        reflected = u.unitary.copy()
+        reflected[: u.system_dim, :] *= -1.0
+        return reflected
+
     target = None if u.target is None else -u.target
-    return replace(u, unitary=reflected, target=target)
+    return replace(
+        u, top_left=-u.block(), target=target, materialize=functools.cache(build)
+    )
 
 
 def _regroup_indices(a1: int, s1: int, a2: int, s2: int) -> np.ndarray:
@@ -196,21 +288,23 @@ def _regroup_indices(a1: int, s1: int, a2: int, s2: int) -> np.ndarray:
 
 
 def _tensor_pair(u1: BlockEncoding, u2: BlockEncoding) -> BlockEncoding:
-    raw = np.kron(u1.unitary, u2.unitary)
-    idx = _regroup_indices(u1.ancilla_dim, u1.system_dim, u2.ancilla_dim, u2.system_dim)
-    unitary = raw[np.ix_(idx, idx)]
+    def build():
+        raw = np.kron(u1.unitary, u2.unitary)
+        idx = _regroup_indices(u1.ancilla_dim, u1.system_dim, u2.ancilla_dim, u2.system_dim)
+        return raw[np.ix_(idx, idx)]
+
     target = None
     if u1.target is not None and u2.target is not None:
         target = np.kron(u1.target, u2.target)
     err = u1.scale * u2.err + u2.scale * u1.err + u1.err * u2.err
-    return BlockEncoding(
-        unitary=unitary,
-        system_dim=u1.system_dim * u2.system_dim,
-        ancilla_dim=u1.ancilla_dim * u2.ancilla_dim,
-        scale=u1.scale * u2.scale,
-        err=err,
-        ledger_tag=f"({u1.ledger_tag})x({u2.ledger_tag})",
-        target=target,
+    return _from_block(
+        np.kron(u1.block(), u2.block()),
+        u1.ancilla_dim * u2.ancilla_dim,
+        u1.scale * u2.scale,
+        err,
+        f"({u1.ledger_tag})x({u2.ledger_tag})",
+        target,
+        build,
     )
 
 
@@ -235,24 +329,27 @@ def be_product(
             f"system dims differ: {u1.system_dim} vs {u2.system_dim}"
         )
     a1, a2, s = u1.ancilla_dim, u2.ancilla_dim, u1.system_dim
-    # Lift U1 to (anc1, anc2, sys) with anc2 spectator; U2 lifts directly.
-    idx = np.arange(a1 * s * a2).reshape(a1, s, a2).transpose(0, 2, 1).ravel()
-    lifted1 = np.kron(u1.unitary, np.eye(a2, dtype=np.complex128))[np.ix_(idx, idx)]
-    lifted2 = np.kron(np.eye(a1, dtype=np.complex128), u2.unitary)
-    unitary = lifted1 @ lifted2
+
+    def build():
+        # Lift U1 to (anc1, anc2, sys) with anc2 spectator; U2 lifts directly.
+        idx = np.arange(a1 * s * a2).reshape(a1, s, a2).transpose(0, 2, 1).ravel()
+        lifted1 = np.kron(u1.unitary, np.eye(a2, dtype=np.complex128))[np.ix_(idx, idx)]
+        lifted2 = np.kron(np.eye(a1, dtype=np.complex128), u2.unitary)
+        return lifted1 @ lifted2
+
     target = None
     if u1.target is not None and u2.target is not None:
         target = u1.target @ u2.target
     if ledger is not None:
         ledger.record("product", be_queries=2, ancilla_dims=a1 * a2)
-    return BlockEncoding(
-        unitary=unitary,
-        system_dim=s,
-        ancilla_dim=a1 * a2,
-        scale=u1.scale * u2.scale,
-        err=u1.scale * u2.err + u2.scale * u1.err,
-        ledger_tag=f"({u1.ledger_tag})*({u2.ledger_tag})",
-        target=target,
+    return _from_block(
+        u1.block() @ u2.block(),
+        a1 * a2,
+        u1.scale * u2.scale,
+        u1.scale * u2.err + u2.scale * u1.err,
+        f"({u1.ledger_tag})*({u2.ledger_tag})",
+        target,
+        build,
     )
 
 
@@ -277,6 +374,7 @@ def be_lcu(
     w = np.clip(w, 0.0, None)
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise WeightsNotNormalized(f"weights sum to {w.sum():.15f}, expected 1")
+    us = tuple(us)  # the materializer may run after the caller's list has changed
     s = us[0].system_dim
     scale = us[0].scale
     for u in us:
@@ -288,38 +386,34 @@ def be_lcu(
     common_anc = 1
     for u in us:
         common_anc = math.lcm(common_anc, u.ancilla_dim)
-    padded = [pad_ancilla(u, common_anc) for u in us]
     sel = next_pow2(len(us))
-    sub = common_anc * s
 
-    stack = np.empty((sel, sub, sub), dtype=np.complex128)
-    for i in range(sel):
-        stack[i] = padded[i].unitary if i < len(us) else np.eye(sub)
-    amplitudes = np.zeros(sel, dtype=np.complex128)
-    amplitudes[: len(us)] = np.sqrt(w)
-    prep = unitary_completion(amplitudes)
+    def build():
+        padded = [pad_ancilla(u, common_anc) for u in us]
+        sub = common_anc * s
+        stack = np.empty((sel, sub, sub), dtype=np.complex128)
+        for i in range(sel):
+            stack[i] = padded[i].unitary if i < len(us) else np.eye(sub)
+        amplitudes = np.zeros(sel, dtype=np.complex128)
+        amplitudes[: len(us)] = np.sqrt(w)
+        prep = unitary_completion(amplitudes)
 
-    # W = (prep^dag (x) I) SELECT (prep (x) I), assembled blockwise:
-    # block (a, c) = sum_b conj(prep[b, a]) prep[b, c] U_b.
-    unitary = np.einsum(
-        "ba,bc,bxy->axcy", prep.conj(), prep, stack, optimize=True
-    ).reshape(sel * sub, sel * sub)
+        # W = (prep^dag (x) I) SELECT (prep (x) I), assembled blockwise:
+        # block (a, c) = sum_b conj(prep[b, a]) prep[b, c] U_b.
+        return np.einsum(
+            "ba,bc,bxy->axcy", prep.conj(), prep, stack, optimize=True
+        ).reshape(sel * sub, sel * sub)
 
+    # W's top-left block is sum_b |prep[b, 0]|^2 B_b = sum_b w_b B_b, since
+    # prep's first column is sqrt(w).
+    block = np.tensordot(w, np.stack([u.block() for u in us]), axes=1)
     target = None
     if all(u.target is not None for u in us):
         target = sum(wi * u.target for wi, u in zip(w, us))
     err = float(np.dot(w, [u.err for u in us]))
     if ledger is not None:
         ledger.record(tag, lcu_terms=len(us), be_queries=len(us), ancilla_dims=sel * common_anc)
-    return BlockEncoding(
-        unitary=unitary,
-        system_dim=s,
-        ancilla_dim=sel * common_anc,
-        scale=scale,
-        err=err,
-        ledger_tag=tag,
-        target=target,
-    )
+    return _from_block(block, sel * common_anc, scale, err, tag, target, build)
 
 
 def be_rescale(
@@ -384,16 +478,17 @@ def be_density_from_purification(
     """
     prep = require_square(prep)
     total = prep.shape[0]
-    defect = op_norm(prep.conj().T @ prep - np.eye(total))
+    defect = hermitian_op_norm(prep.conj().T @ prep - np.eye(total))
     if defect > 1e-10:
         raise NotUnitary(f"prep unitarity defect {defect:.3e}")
     if traced_dim < 1 or total % traced_dim != 0:
         raise DimensionMismatch(f"traced dim {traced_dim} does not divide {total}")
     sys = total // traced_dim
 
-    lifted = np.kron(prep, np.eye(sys, dtype=np.complex128))
-    idx = np.arange(total * sys).reshape(traced_dim, sys, sys).transpose(0, 2, 1).ravel()
-    unitary = lifted.conj().T @ lifted[idx, :]
+    def build():
+        lifted = np.kron(prep, np.eye(sys, dtype=np.complex128))
+        idx = np.arange(total * sys).reshape(traced_dim, sys, sys).transpose(0, 2, 1).ravel()
+        return lifted.conj().T @ lifted[idx, :]
 
     phi = prep[:, 0]
     rho = partial_trace(np.outer(phi, phi.conj()), sys, traced_dim, "left")
@@ -404,15 +499,7 @@ def be_density_from_purification(
             two_qubit_gates=max(1, math.ceil(math.log2(sys))),
             ancilla_dims=total,
         )
-    return BlockEncoding(
-        unitary=unitary,
-        system_dim=sys,
-        ancilla_dim=total,
-        scale=1.0,
-        err=0.0,
-        ledger_tag=tag,
-        target=rho,
-    )
+    return _from_block(rho, total, 1.0, 0.0, tag, rho, build)
 
 
 def slot_permutation_matrix(perm, d: int) -> np.ndarray:
@@ -472,19 +559,22 @@ def be_swap_permute(
     new_lin = np.argmax(p, axis=0)  # content-placement map: e_b -> e_{new_lin[b]}
     pinv = np.empty_like(new_lin)
     pinv[new_lin] = np.arange(u.system_dim)
-    full = (
-        np.arange(u.ancilla_dim)[:, None] * u.system_dim + pinv[None, :]
-    ).ravel()
-    unitary = u.unitary[np.ix_(full, full)]
+
+    def build():
+        full = (
+            np.arange(u.ancilla_dim)[:, None] * u.system_dim + pinv[None, :]
+        ).ravel()
+        return u.unitary[np.ix_(full, full)]
+
     target = None if u.target is None else p @ u.target @ p.conj().T
     if ledger is not None:
         ledger.record("swap", swap_ops=swap_count(perm, movable))
-    return BlockEncoding(
-        unitary=unitary,
-        system_dim=u.system_dim,
-        ancilla_dim=u.ancilla_dim,
-        scale=u.scale,
-        err=u.err,
-        ledger_tag=f"perm({u.ledger_tag})",
-        target=target,
+    return _from_block(
+        u.block()[np.ix_(pinv, pinv)],
+        u.ancilla_dim,
+        u.scale,
+        u.err,
+        f"perm({u.ledger_tag})",
+        target,
+        build,
     )

@@ -134,6 +134,19 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def hermitian_op_norm(m) -> float:
+    """Largest singular value of a Hermitian matrix, as its largest |eigenvalue|.
+
+    The same quantity as op_norm for Hermitian input (such as U^dag U - I),
+    read from the lower triangle by eigvalsh, which is about twice as fast as
+    the SVD at a few hundred rows and more.
+    """
+    m = as_cmatrix(m)
+    if m.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+
+
 def trace_norm(m) -> float:
     """Sum of singular values."""
     m = as_cmatrix(m)

@@ -23,7 +23,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -449,10 +449,7 @@ def run_approach2(h: TensorFactorHamiltonian, cfg: PipelineConfig) -> PipelineRe
             err = deviation
             if cfg.inject_term_err is not None:
                 err = max(err, cfg.inject_term_err)
-            enc = BlockEncoding(
-                enc.unitary, enc.system_dim, enc.ancilla_dim, enc.scale, err,
-                enc.ledger_tag, target=ideal,
-            )
+            enc = replace(enc, err=err, target=ideal)
             if simplified:
                 enc = _embed(enc, term, perm)
             encs.append(enc)
@@ -552,10 +549,7 @@ def _purified_term_encoding(
     ideal = _term_ideal(term, simplified)
     defect = trace_norm(enc.block() - ideal)
     result.term_trace_defects[i] = defect
-    enc = BlockEncoding(
-        enc.unitary, enc.system_dim, enc.ancilla_dim, enc.scale,
-        op_norm(enc.block() - ideal), enc.ledger_tag, target=ideal,
-    )
+    enc = replace(enc, err=op_norm(enc.block() - ideal), target=ideal)
     return _embed(enc, term, perm) if simplified else enc
 
 

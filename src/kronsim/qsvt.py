@@ -14,7 +14,7 @@ Both parts are built at half amplitude so the transformation premise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -242,12 +242,4 @@ def apply_poly(
             poly_degree=p,
             ancilla_dims=4 * u.ancilla_dim,
         )
-    return BlockEncoding(
-        unitary=out.unitary,
-        system_dim=out.system_dim,
-        ancilla_dim=out.ancilla_dim,
-        scale=1.0,
-        err=err + out.err,
-        ledger_tag=f"poly({u.ledger_tag})",
-        target=target,
-    )
+    return replace(out, err=err + out.err, target=target)

@@ -34,6 +34,7 @@ from kronsim.errors import (
 )
 from kronsim.ledger import ResourceLedger, amplification_rounds
 from kronsim.linalg import kron_all, op_norm, unitary_completion
+from kronsim.qsvt import apply_poly, jacobi_anger
 from oracles import random_hermitian, random_unit, random_unitary
 
 
@@ -344,3 +345,63 @@ def test_claim_holds_on_random_encodings(rng):
         assert op_norm(u.scale * u.block() - u.target) <= u.err + 1e-9
         v = be_lcu([u, dilate(-a, 2.0)], [0.5, 0.5])
         assert op_norm(v.scale * v.block() - v.target) <= v.err + 1e-9
+
+
+def _two_slot_tensor(rng):
+    a = dilate(_rand_contraction(rng, 2), 1.0)
+    b = be_negate(dilate(_rand_contraction(rng, 2), 1.0))
+    return be_tensor([a, b])
+
+
+# Each case builds an encoding through one combinator (inputs with unequal
+# ancillas where the combinator regroups or pads registers).
+BLOCK_CASES = {
+    "dilate": lambda rng: dilate(_rand_contraction(rng, 3, norm=1.2), 2.0),
+    "dilate-shrink": lambda rng: dilate(np.eye(2) * (1.0 + 5e-10), 1.0),
+    "zero": lambda rng: zero_encoding(3, 2.0),
+    "pad": lambda rng: pad_ancilla(dilate(_rand_contraction(rng, 3), 1.0), 6),
+    "negate": lambda rng: be_negate(dilate(_rand_contraction(rng, 3), 1.0)),
+    "tensor": lambda rng: be_tensor(
+        [dilate(_rand_contraction(rng, 2), 1.0), zero_encoding(1, 1.0), _two_slot_tensor(rng)]
+    ),
+    "product": lambda rng: be_product(
+        dilate(_rand_contraction(rng, 4), 1.5), _two_slot_tensor(rng)
+    ),
+    "lcu": lambda rng: be_lcu(
+        [dilate(_rand_contraction(rng, 4), 1.0), _two_slot_tensor(rng), zero_encoding(4, 1.0)],
+        [0.5, 0.3, 0.2],
+    ),
+    "rescale": lambda rng: be_rescale(dilate(_rand_contraction(rng, 3), 1.0), 4.0),
+    "amplify": lambda rng: be_amplify(
+        be_rescale(dilate(_rand_contraction(rng, 3, norm=0.6), 1.0), 2.0), 1.5, 0.1, 1e-6
+    ),
+    "swap": lambda rng: be_swap_permute(
+        be_tensor([_two_slot_tensor(rng), dilate(_rand_contraction(rng, 2), 1.0)]), (2, 0, 1), 2
+    ),
+    "density": lambda rng: be_density_from_purification(
+        unitary_completion(random_unit(rng, 12)), 3
+    ),
+    "apply_poly": lambda rng: apply_poly(
+        be_rescale(dilate(random_hermitian(rng, 4, scale=0.45), 1.0), 1.5),
+        *jacobi_anger(1.3, 1e-8),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_matches_materialized_unitary(case, rng, monkeypatch):
+    def refuse(self):
+        raise AssertionError("unitary materialized while building the block")
+
+    # The closed-form block is computed without building any unitary.
+    with monkeypatch.context() as patch:
+        patch.setattr(BlockEncoding, "unitary", property(refuse))
+        u = BLOCK_CASES[case](rng)
+        block = u.block()
+    s = u.system_dim
+    full = u.unitary
+    assert full.shape == (u.ancilla_dim * s, u.ancilla_dim * s)
+    assert block.shape == (s, s)
+    assert op_norm(block - full[:s, :s]) <= 1e-12
+    assert u.unitarity_defect() < 1e-10
+    assert u.unitary is full  # built once, then cached

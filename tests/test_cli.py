@@ -71,6 +71,34 @@ def test_simulate_td(tmp_path):
     assert float(row["measured_err"]) < 1e-5
 
 
+TFIM4 = """\
+dims 7 4 2
+flags rescale
+term 1: Z , Z , I , I
+term 2: I , Z , Z , I
+term 3: I , I , Z , Z
+term 4: X , I , I , I
+term 5: I , X , I , I
+term 6: I , I , X , I
+term 7: I , I , I , X
+"""
+
+
+def test_simulate_no_simplify_tfim4(tmp_path):
+    # The full unitary of this run's combined LCU would take 16 GiB; the
+    # dense path must get by on blocks alone.
+    ham = tmp_path / "tfim4.ham"
+    ham.write_text(TFIM4)
+    args = ["simulate", str(ham), "--no-simplify"]
+    assert main(args + ["--out", str(tmp_path / "dense")]) == 0
+    assert main(args + ["--ledger-only", "--out", str(tmp_path / "ledger")]) == 0
+    dense = dict(zip(REPORT_COLUMNS, _report_body(tmp_path / "dense")[1]))
+    ledger = dict(zip(REPORT_COLUMNS, _report_body(tmp_path / "ledger")[1]))
+    assert float(dense["measured_err"]) <= float(dense["declared_err"])
+    counters = REPORT_COLUMNS[REPORT_COLUMNS.index("prep_unitary_queries"):]
+    assert [dense[c] for c in counters] == [ledger[c] for c in counters]
+
+
 def test_exit2_td_on_static_input(tmp_path, capsys):
     rc = main(["simulate", TFIM, "--approach", "td", "--out", str(tmp_path)])
     assert rc == 2

@@ -9,6 +9,7 @@ from kronsim.linalg import (
     as_cvector,
     eig_hermitian,
     expm_hermitian,
+    hermitian_op_norm,
     kron,
     kron_all,
     max_entry_norm,
@@ -117,6 +118,8 @@ def test_norms_against_oracle(rng):
     assert abs(op_norm(m) - s[0]) < 1e-12
     assert abs(trace_norm(m) - trace_norm_oracle(m)) < 1e-10
     assert abs(max_entry_norm(m) - np.max(np.abs(m))) < 1e-15
+    h = m + m.conj().T
+    assert abs(hermitian_op_norm(h) - np.linalg.svd(h, compute_uv=False)[0]) < 1e-12
 
 
 def test_sparsity_counts_max_row_col():

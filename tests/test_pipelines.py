@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kronsim.blockenc import BlockEncoding
 from kronsim.errors import (
     CoefficientsMissing,
     InvalidFactor,
@@ -370,3 +371,49 @@ def test_nominal_poly_degree_from_physical_time(tfim3):
     res = run_pipeline(tfim3, _cfg(t=2.0, delta=1e-6, ledger_only=True))
     pr, pi = jacobi_anger(2.0, 1e-6)
     assert res.ledger.counters["poly_degree"] == max(pr.degree, pi.degree)
+
+
+DENSE_CASES = [
+    ("tfim3", "a1", {}),
+    ("tfim3", "a2", {"mc_samples": 32, "mc_seed": 5}),
+    ("td_pair", "a1", {}),
+    ("td_pair", "a2", {"mc_samples": 32, "mc_seed": 5}),
+    ("td_pair", "td", {}),
+    # a3 rejects both sample files (negative eigenvalue products)
+    ("psd", "a3", {}),
+]
+
+
+@pytest.mark.parametrize("simplified", [True, False])
+@pytest.mark.parametrize("name,approach,extra", DENSE_CASES)
+def test_dense_runs_never_materialize(
+    tfim3, td_pair, name, approach, extra, simplified, monkeypatch
+):
+    h = {"tfim3": tfim3, "td_pair": td_pair, "psd": psd_instance()}[name]
+    cfg = _cfg(approach=approach, use_simplification=simplified, **extra)
+
+    def refuse(self):
+        raise AssertionError("a dense run materialized a unitary")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BlockEncoding, "unitary", property(refuse))
+        lazy = run_pipeline(h, cfg)
+
+    # Reference run: every encoding builds its unitary as it is constructed,
+    # and its closed-form block must be that unitary's top-left block.
+    built = []
+    init = BlockEncoding.__init__
+
+    def materializing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        s = self.system_dim
+        assert op_norm(self.block() - self.unitary[:s, :s]) <= 1e-12
+        built.append(self.ancilla_dim)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BlockEncoding, "__init__", materializing_init)
+        forced = run_pipeline(h, cfg)
+    assert max(built) > 1
+    assert op_norm(lazy.evolution_block - forced.evolution_block) <= 1e-12
+    assert lazy.declared_err == forced.declared_err
+    assert lazy.ledger.counters == forced.ledger.counters
